@@ -975,7 +975,9 @@ impl<'m> Interp<'m> {
     }
 
     /// Compiles (and caches) a `/pattern/`-delimited preg pattern,
-    /// returning a clone that shares nothing mutable with the cache.
+    /// returning a clone of the cached handle. Clones share the compiled
+    /// automaton, so DFA states one call materializes stay warm for the
+    /// next; the simulated scan cost does not depend on that warmth.
     pub(crate) fn compile_regex(&mut self, pattern: &str) -> Result<Regex, RuntimeError> {
         if !self.regex_cache.contains_key(pattern) {
             let inner = strip_delimiters(pattern)

@@ -12,6 +12,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Activity category of a leaf function.
 ///
@@ -243,17 +244,99 @@ impl StaticSavings {
 
 /// The profiler. Interior-mutable so that runtime operations can record
 /// through a shared reference (`&RuntimeContext`).
+///
+/// `record` runs for every leaf operation, so its host cost matters even
+/// though it models nothing: each distinct name gets one slot, found through
+/// a small direct-mapped table keyed by the name's address (names are
+/// almost always `&'static str` literals) and, on a miss there, through an
+/// FNV-keyed name index. Only the first sighting of a name allocates. Every
+/// address hit is confirmed by comparing the name's bytes, so a name built
+/// in a reused buffer (same address, new contents) is never misattributed.
+/// None of this bookkeeping feeds the simulated cost.
 #[derive(Debug, Default)]
 pub struct Profiler {
     inner: RefCell<ProfilerInner>,
 }
 
-#[derive(Debug, Default)]
+/// Entries in the address-keyed fast table (a power of two).
+const FAST_SLOTS: usize = 64;
+
+/// One direct-mapped fast-table entry: a name address and its slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct FastEntry {
+    addr: usize,
+    slot: u32,
+}
+
+/// FNV-1a, for the name index: short leaf names hash in a few cycles.
+struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        FnvHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for FnvHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[derive(Debug)]
 struct ProfilerInner {
-    funcs: HashMap<String, FuncStats>,
+    /// One `(name, stats)` slot per distinct leaf function, in first-seen
+    /// order.
+    slots: Vec<(String, FuncStats)>,
+    /// Name → index into `slots`.
+    index: HashMap<String, u32, BuildHasherDefault<FnvHasher>>,
+    /// Name address → slot, direct-mapped; `addr == 0` marks an empty entry.
+    fast: [FastEntry; FAST_SLOTS],
     total: OpCost,
     enabled_depth: u32,
     savings: StaticSavings,
+}
+
+impl Default for ProfilerInner {
+    fn default() -> Self {
+        ProfilerInner {
+            slots: Vec::new(),
+            index: HashMap::default(),
+            fast: [FastEntry::default(); FAST_SLOTS],
+            total: OpCost::default(),
+            enabled_depth: 0,
+            savings: StaticSavings::default(),
+        }
+    }
+}
+
+impl ProfilerInner {
+    /// The slot of `name`, creating it on first sight.
+    fn slot_of(&mut self, name: &str) -> usize {
+        let addr = name.as_ptr() as usize;
+        let way = (addr ^ (addr >> 6) ^ (addr >> 12)) & (FAST_SLOTS - 1);
+        let hit = self.fast[way];
+        if hit.addr == addr && self.slots[hit.slot as usize].0 == name {
+            return hit.slot as usize;
+        }
+        let slot = match self.index.get(name) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.slots.len() as u32;
+                self.slots.push((name.to_owned(), FuncStats::default()));
+                self.index.insert(name.to_owned(), slot);
+                slot
+            }
+        };
+        self.fast[way] = FastEntry { addr, slot };
+        slot as usize
+    }
 }
 
 impl Profiler {
@@ -269,7 +352,8 @@ impl Profiler {
             return;
         }
         inner.total = inner.total.plus(cost);
-        let entry = inner.funcs.entry(name.to_owned()).or_default();
+        let slot = inner.slot_of(name);
+        let entry = &mut inner.slots[slot].1;
         entry.category.get_or_insert(category);
         entry.calls += 1;
         entry.cost = entry.cost.plus(cost);
@@ -304,19 +388,21 @@ impl Profiler {
 
     /// Number of distinct leaf functions observed.
     pub fn function_count(&self) -> usize {
-        self.inner.borrow().funcs.len()
+        self.inner.borrow().slots.len()
     }
 
     /// Stats for one function, if it was ever recorded.
     pub fn function(&self, name: &str) -> Option<FuncStats> {
-        self.inner.borrow().funcs.get(name).cloned()
+        let inner = self.inner.borrow();
+        let slot = *inner.index.get(name)?;
+        Some(inner.slots[slot as usize].1.clone())
     }
 
     /// Aggregated micro-ops per category.
     pub fn category_breakdown(&self) -> HashMap<Category, u64> {
         let inner = self.inner.borrow();
         let mut out = HashMap::new();
-        for stats in inner.funcs.values() {
+        for (_, stats) in &inner.slots {
             if let Some(cat) = stats.category {
                 *out.entry(cat).or_insert(0) += stats.cost.uops;
             }
@@ -329,7 +415,7 @@ impl Profiler {
         let inner = self.inner.borrow();
         let total = inner.total.uops.max(1) as f64;
         let mut rows: Vec<ProfileRow> = inner
-            .funcs
+            .slots
             .iter()
             .map(|(name, s)| ProfileRow {
                 name: name.clone(),
@@ -352,7 +438,9 @@ impl Profiler {
     /// Clears all recorded data.
     pub fn reset(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.funcs.clear();
+        inner.slots.clear();
+        inner.index.clear();
+        inner.fast = [FastEntry::default(); FAST_SLOTS];
         inner.total = OpCost::default();
         inner.savings = StaticSavings::default();
     }
@@ -551,5 +639,145 @@ mod tests {
         assert!(Category::Regex.is_accel_target());
         assert!(!Category::RefCount.is_accel_target());
         assert_eq!(Category::ALL.len(), 8);
+    }
+
+    /// The slot table, its FNV index and the address fast path must be
+    /// observationally identical to a plain ordered map keyed by name.
+    mod slot_table_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// Stable-address names: more than the fast table holds (so entries
+        /// evict each other), including equal contents at distinct addresses.
+        fn name_pool() -> Vec<String> {
+            let mut pool: Vec<String> = (0..90).map(|i| format!("leaf_{i}")).collect();
+            pool.extend(["leaf_3", "leaf_40", "", "zend_hash_find"].map(String::from));
+            pool
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Record pool name `i`, from its stable address or copied into
+            /// the one reused buffer.
+            Record {
+                i: usize,
+                reused_buffer: bool,
+                cat: usize,
+                uops: u64,
+            },
+            Pause,
+            Resume,
+            Reset,
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                40 => (0usize..94, 0u8..2, 0usize..8, 0u64..50).prop_map(|(i, b, cat, uops)| {
+                    Op::Record { i, reused_buffer: b == 1, cat, uops }
+                }),
+                2 => (0u8..1).prop_map(|_| Op::Pause),
+                2 => (0u8..1).prop_map(|_| Op::Resume),
+                1 => (0u8..1).prop_map(|_| Op::Reset),
+            ]
+        }
+
+        #[derive(Default)]
+        struct Model {
+            funcs: BTreeMap<String, FuncStats>,
+            total: u64,
+            depth: u32,
+        }
+
+        fn assert_matches(p: &Profiler, m: &Model, pool: &[String]) {
+            assert_eq!(p.function_count(), m.funcs.len());
+            assert_eq!(p.total_uops(), m.total);
+            for name in pool {
+                assert_eq!(p.function(name), m.funcs.get(name).cloned(), "{name:?}");
+            }
+            let mut by_cat: HashMap<Category, u64> = HashMap::new();
+            for s in m.funcs.values() {
+                *by_cat.entry(s.category.unwrap()).or_insert(0) += s.cost.uops;
+            }
+            assert_eq!(p.category_breakdown(), by_cat);
+            let total = m.total.max(1) as f64;
+            let mut rows: Vec<ProfileRow> = m
+                .funcs
+                .iter()
+                .map(|(name, s)| ProfileRow {
+                    name: name.clone(),
+                    category: s.category.unwrap(),
+                    calls: s.calls,
+                    uops: s.cost.uops,
+                    share: s.cost.uops as f64 / total,
+                })
+                .collect();
+            rows.sort_by(|a, b| b.uops.cmp(&a.uops).then_with(|| a.name.cmp(&b.name)));
+            assert_eq!(p.leaf_profile(), rows);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn profiler_matches_ordered_map_model(ops in prop::collection::vec(op(), 1..400)) {
+                let pool = name_pool();
+                let p = Profiler::new();
+                let mut m = Model::default();
+                let mut buf = String::with_capacity(64);
+                for op in ops {
+                    match op {
+                        Op::Record { i, reused_buffer, cat, uops } => {
+                            let cat = Category::ALL[cat];
+                            let cost = OpCost::mixed(uops);
+                            let name: &str = if reused_buffer {
+                                buf.clear();
+                                buf.push_str(&pool[i]);
+                                &buf
+                            } else {
+                                &pool[i]
+                            };
+                            p.record(name, cat, cost);
+                            if m.depth == 0 {
+                                m.total += uops;
+                                let e = m.funcs.entry(pool[i].clone()).or_default();
+                                e.category.get_or_insert(cat);
+                                e.calls += 1;
+                                e.cost = e.cost.plus(cost);
+                            }
+                        }
+                        Op::Pause => {
+                            p.pause();
+                            m.depth += 1;
+                        }
+                        Op::Resume if m.depth > 0 => {
+                            p.resume();
+                            m.depth -= 1;
+                        }
+                        Op::Resume => {}
+                        Op::Reset => {
+                            p.reset();
+                            m.funcs.clear();
+                            m.total = 0;
+                        }
+                    }
+                }
+                assert_matches(&p, &m, &pool);
+            }
+        }
+
+        #[test]
+        fn reused_buffer_never_inherits_a_fast_path_hit() {
+            let p = Profiler::new();
+            let mut buf = String::with_capacity(16);
+            for name in ["alpha", "beta", "alpha", "gamma"] {
+                buf.clear();
+                buf.push_str(name);
+                p.record(&buf, Category::Other, OpCost::alu(1));
+            }
+            assert_eq!(p.function("alpha").unwrap().calls, 2);
+            assert_eq!(p.function("beta").unwrap().calls, 1);
+            assert_eq!(p.function("gamma").unwrap().calls, 1);
+            assert_eq!(p.function_count(), 3);
+        }
     }
 }

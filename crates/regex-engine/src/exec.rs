@@ -8,7 +8,7 @@
 use crate::dfa::{DfaStateId, LazyDfa, RunOutcome};
 use crate::nfa::Nfa;
 use crate::parser::{parse, Ast, ParseError};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// µops charged per byte stepped through the software FSM (table load,
 /// index arithmetic, branch).
@@ -65,13 +65,25 @@ impl ScanStats {
 
 /// A compiled regular expression.
 ///
-/// Interior caches (the lazily materialized DFA and the first-byte
-/// prefilter) sit behind a `Mutex`/`OnceLock`, so a compiled handle is
-/// `Send + Sync` and can be shared across worker threads — analysis-time
-/// precompiled patterns live in an `Arc`'d facts table that every worker
-/// reads.
-#[derive(Debug)]
+/// A handle is cheap to clone: every clone shares one compiled pattern,
+/// including its interior caches — the lazily materialized DFA behind a
+/// `Mutex` and the first-byte prefilter behind a `OnceLock`. States one
+/// clone materializes are warm for all the others, so a pattern compiled
+/// once (at analysis time, or into a VM unit) is never rebuilt per call.
+/// The handle is `Send + Sync`: analysis-time precompiled patterns live in
+/// an `Arc`'d facts table that every worker reads.
+///
+/// Sharing is invisible to results and to [`ScanStats`]: the DFA is a
+/// deterministic function of the pattern, so a warm table only skips host
+/// work, never a simulated byte.
+#[derive(Debug, Clone)]
 pub struct Regex {
+    shared: Arc<Shared>,
+}
+
+/// The compiled pattern every clone of a [`Regex`] shares.
+#[derive(Debug)]
+struct Shared {
     pattern: String,
     ast: Ast,
     /// Anchored-at-position DFA (its state ids are the FSM-table states the
@@ -81,22 +93,6 @@ pub struct Regex {
     anchored_start: bool,
     /// Lazily computed set of viable first bytes (prefilter).
     first_bytes: OnceLock<Box<[bool; 256]>>,
-}
-
-impl Clone for Regex {
-    fn clone(&self) -> Regex {
-        let cloned_first = OnceLock::new();
-        if let Some(table) = self.first_bytes.get() {
-            let _ = cloned_first.set(table.clone());
-        }
-        Regex {
-            pattern: self.pattern.clone(),
-            ast: self.ast.clone(),
-            anchored: Mutex::new(self.dfa().clone()),
-            anchored_start: self.anchored_start,
-            first_bytes: cloned_first,
-        }
-    }
 }
 
 impl Regex {
@@ -110,38 +106,45 @@ impl Regex {
         let nfa = Nfa::compile(&ast);
         let anchored_start = nfa.anchored_start();
         Ok(Regex {
-            pattern: pattern.to_owned(),
-            ast,
-            anchored: Mutex::new(LazyDfa::new(nfa, false)),
-            anchored_start,
-            first_bytes: OnceLock::new(),
+            shared: Arc::new(Shared {
+                pattern: pattern.to_owned(),
+                ast,
+                anchored: Mutex::new(LazyDfa::new(nfa, false)),
+                anchored_start,
+                first_bytes: OnceLock::new(),
+            }),
         })
     }
 
     /// Locks the DFA cache (poisoning is tolerated: the cache is always in a
     /// consistent state between public calls, so a panicking thread cannot
     /// leave it half-written in a way later matches would observe).
-    fn dfa(&self) -> std::sync::MutexGuard<'_, LazyDfa> {
-        self.anchored.lock().unwrap_or_else(|e| e.into_inner())
+    fn dfa(&self) -> MutexGuard<'_, LazyDfa> {
+        self.shared
+            .anchored
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
     }
 
     /// The source pattern.
     pub fn pattern(&self) -> &str {
-        &self.pattern
+        &self.shared.pattern
     }
 
     /// The parsed AST (used by [`crate::analysis`]).
     pub fn ast(&self) -> &Ast {
-        &self.ast
+        &self.shared.ast
     }
 
     /// Whether the pattern is `^`-anchored.
     pub fn anchored_start(&self) -> bool {
-        self.anchored_start
+        self.shared.anchored_start
     }
 
-    fn first_byte_ok(&self, b: u8) -> bool {
-        let table = self.first_bytes.get_or_init(|| {
+    /// The first-byte prefilter table, computed on first use. Must not be
+    /// called with the DFA lock held (initialization takes it).
+    fn first_bytes(&self) -> &[bool; 256] {
+        self.shared.first_bytes.get_or_init(|| {
             let mut table = Box::new([false; 256]);
             let mut dfa = self.dfa();
             let start = dfa.start_state();
@@ -150,39 +153,51 @@ impl Regex {
                 table[byte] = start_is_match || dfa.transition(start, byte).is_some();
             }
             table
-        });
-        table[b as usize]
+        })
     }
 
     /// The set of bytes that can begin a match (false ⇒ no match can start
     /// on that byte). Used by prefilters and by the shadow scanner's
     /// eligibility analysis.
     pub fn viable_first_bytes(&self) -> [bool; 256] {
-        let mut out = [false; 256];
-        for (b, slot) in out.iter_mut().enumerate() {
-            *slot = self.first_byte_ok(b as u8);
-        }
-        out
+        *self.first_bytes()
     }
 
     /// Longest match starting exactly at `pos`. Also reports bytes scanned.
     pub fn match_at(&self, subject: &[u8], pos: usize) -> (Option<Match>, u64) {
-        let mut dfa = self.dfa();
-        let start = dfa.start_state();
-        let out = dfa.run_from(start, &subject[pos..], true);
-        let m = out.last_match_end.map(|end| Match {
-            start: pos,
-            end: pos + end,
-        });
-        (m, out.bytes_consumed as u64 + 1)
+        match_at_in(&mut self.dfa(), subject, pos)
+    }
+
+    /// The prefilter table for a search. Anchored searches never consult
+    /// it, so they never pay to build it.
+    fn search_prefilter(&self) -> &[bool; 256] {
+        static UNUSED: [bool; 256] = [true; 256];
+        if self.anchored_start() {
+            &UNUSED
+        } else {
+            self.first_bytes()
+        }
     }
 
     /// Leftmost-longest search starting at `from`.
     pub fn find_at(&self, subject: &[u8], from: usize) -> (Option<Match>, ScanStats) {
+        let first = self.search_prefilter();
+        self.find_at_in(first, &mut self.dfa(), subject, from)
+    }
+
+    /// [`Regex::find_at`] under an already held DFA lock, with the
+    /// prefilter table fetched before the lock was taken.
+    fn find_at_in(
+        &self,
+        first: &[bool; 256],
+        dfa: &mut LazyDfa,
+        subject: &[u8],
+        from: usize,
+    ) -> (Option<Match>, ScanStats) {
         let mut scanned = 0u64;
-        if self.anchored_start {
+        if self.anchored_start() {
             if from == 0 {
-                let (m, b) = self.match_at(subject, 0);
+                let (m, b) = match_at_in(dfa, subject, 0);
                 return (m, ScanStats::from_bytes(b));
             }
             return (None, ScanStats::from_bytes(0));
@@ -191,12 +206,12 @@ impl Regex {
         while pos <= subject.len() {
             // Prefilter: skip bytes that cannot start a match (cheap compare,
             // counted as a quarter of an FSM step).
-            if pos < subject.len() && !self.first_byte_ok(subject[pos]) {
+            if pos < subject.len() && !first[subject[pos] as usize] {
                 scanned += 1;
                 pos += 1;
                 continue;
             }
-            let (m, b) = self.match_at(subject, pos);
+            let (m, b) = match_at_in(dfa, subject, pos);
             scanned += b;
             if let Some(m) = m {
                 return (Some(m), ScanStats::from_bytes(scanned));
@@ -212,19 +227,22 @@ impl Regex {
         (m.is_some(), s)
     }
 
-    /// All non-overlapping matches.
+    /// All non-overlapping matches. The DFA lock is held once for the
+    /// whole scan.
     pub fn find_all(&self, subject: &[u8]) -> (Vec<Match>, ScanStats) {
+        let first = self.search_prefilter();
+        let mut dfa = self.dfa();
         let mut out = Vec::new();
         let mut stats = ScanStats::default();
         let mut pos = 0;
         while pos <= subject.len() {
-            let (m, s) = self.find_at(subject, pos);
+            let (m, s) = self.find_at_in(first, &mut dfa, subject, pos);
             stats = stats.plus(s);
             match m {
                 Some(m) => {
                     pos = if m.is_empty() { m.end + 1 } else { m.end };
                     out.push(m);
-                    if self.anchored_start {
+                    if self.anchored_start() {
                         break;
                     }
                 }
@@ -271,6 +289,18 @@ impl Regex {
     pub fn fsm_states(&self) -> usize {
         self.dfa().materialized_states()
     }
+}
+
+/// Longest match of the anchored DFA starting exactly at `pos`, plus the
+/// bytes it stepped through (the final dead-or-end step counts as one).
+fn match_at_in(dfa: &mut LazyDfa, subject: &[u8], pos: usize) -> (Option<Match>, u64) {
+    let start = dfa.start_state();
+    let out = dfa.run_from(start, &subject[pos..], true);
+    let m = out.last_match_end.map(|end| Match {
+        start: pos,
+        end: pos + end,
+    });
+    (m, out.bytes_consumed as u64 + 1)
 }
 
 #[cfg(test)]
@@ -398,13 +428,54 @@ mod tests {
     }
 
     #[test]
+    fn clones_used_from_two_threads_match_identically() {
+        let subjects: Vec<Vec<u8>> = (0..64)
+            .map(|i| {
+                format!("{} <em>w{i}</em> it's \"q{i}\" {}", "x".repeat(i), i * 7).into_bytes()
+            })
+            .collect();
+        let pattern = "<[a-z]+>|\"[^\"]*\"|'s";
+        let expected: Vec<_> = subjects.iter().map(|s| re(pattern).find_all(s)).collect();
+        let shared = re(pattern);
+        // Both threads start each scan together (the barrier), in opposite
+        // orders, so each meets states the other materialized as well as
+        // states of its own.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let handles = [false, true].map(|reversed| {
+                let (r, subjects, barrier) = (shared.clone(), &subjects, &barrier);
+                scope.spawn(move || {
+                    let n = subjects.len();
+                    let mut out: Vec<_> = (0..n)
+                        .map(|k| if reversed { n - 1 - k } else { k })
+                        .map(|i| {
+                            barrier.wait();
+                            (i, r.find_all(&subjects[i]))
+                        })
+                        .collect();
+                    out.sort_by_key(|(i, _)| *i);
+                    out.into_iter().map(|(_, found)| found).collect::<Vec<_>>()
+                })
+            });
+            for h in handles {
+                assert_eq!(h.join().unwrap(), expected);
+            }
+        });
+    }
+
+    #[test]
     fn clone_preserves_materialized_caches() {
-        let r = re("ab+c");
+        let r = re("ab+c|xyz");
         assert!(r.is_match(b"xxabbc").0); // materialize DFA + prefilter
         let c = r.clone();
         assert_eq!(c.fsm_states(), r.fsm_states());
         assert!(c.is_match(b"xxabbc").0);
         assert_eq!(c.viable_first_bytes(), r.viable_first_bytes());
+        // States the clone materializes later are warm for the original.
+        let before = r.fsm_states();
+        assert!(c.fsm_state_after(b"xyz").is_some());
+        assert!(r.fsm_states() > before);
+        assert_eq!(r.fsm_states(), c.fsm_states());
     }
 
     #[test]

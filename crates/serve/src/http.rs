@@ -926,6 +926,10 @@ fn acceptor_loop(
                 continue;
             }
         };
+        // Responses larger than the write buffer leave in several writes;
+        // with Nagle on, each later write waits for the peer's (delayed)
+        // ACK of the earlier one, ~40 ms on loopback.
+        let _ = stream.set_nodelay(true);
         if state.shutdown.load(Ordering::SeqCst) {
             break;
         }

@@ -220,3 +220,35 @@ fn health_errors_and_rate_limiting() {
     assert_eq!(report.front.method_not_allowed, 1);
     assert_eq!(report.front.parse_errors, 1);
 }
+
+/// A `/metrics` scrape that follows another request on the same keep-alive
+/// connection must not wait for the client's delayed ACK. The scrape body
+/// is larger than the connection's write buffer, so it leaves in two
+/// writes; with Nagle's algorithm on, the second write waits until the
+/// first is acknowledged, and loopback clients delay that ACK by ~40 ms.
+#[test]
+fn scrape_after_request_does_not_wait_for_delayed_ack() {
+    let server = HttpServer::start(HttpConfig::loopback(1), corpus()).expect("bind http front end");
+    let mut client = HttpClient::connect(server.addr());
+    let mut scrape_ms = Vec::new();
+    for _ in 0..7 {
+        let run = client.get("/run/page-template").expect("GET /run");
+        assert_eq!(run.status, 200);
+        let start = std::time::Instant::now();
+        let metrics = client.get("/metrics").expect("GET /metrics");
+        scrape_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(metrics.status, 200);
+        assert!(
+            metrics.body.len() > 8192,
+            "the scrape must span two buffered writes to exercise the stall"
+        );
+    }
+    drop(client);
+    server.shutdown();
+    scrape_ms.sort_by(f64::total_cmp);
+    let median = scrape_ms[scrape_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "scrape after a request took {median:.2} ms (median of {scrape_ms:?})"
+    );
+}
