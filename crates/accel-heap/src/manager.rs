@@ -5,9 +5,9 @@ use crate::freelist::HwFreeList;
 use crate::prefetch::{sw_class_for, PrefetchConfig, Prefetcher};
 use crate::size_class::{SizeClassTable, HW_CLASS_COUNT};
 use php_runtime::alloc::SlabAllocator;
+use php_runtime::hash::IntSet;
 use php_runtime::profile::{Category, OpCost};
 use php_runtime::Profiler;
-use std::collections::HashSet;
 
 /// Memory-update policy (design consideration vs. Mallacc \[48\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -141,7 +141,7 @@ pub struct HwHeapManager {
     now: u64,
     /// Free-list nodes whose stored metadata no longer passes parity
     /// (injected faults); caught when the node is next popped or flushed.
-    poisoned: HashSet<u64>,
+    poisoned: IntSet<u64>,
 }
 
 impl Default for HwHeapManager {
@@ -161,7 +161,7 @@ impl HwHeapManager {
             prefetcher: Prefetcher::new(cfg.prefetch),
             stats: HeapStats::default(),
             now: 0,
-            poisoned: HashSet::new(),
+            poisoned: IntSet::default(),
         }
     }
 

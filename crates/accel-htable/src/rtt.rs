@@ -10,7 +10,7 @@
 //!   full-table scan;
 //! * `foreach`: replay key-value pairs in insertion order.
 
-use std::collections::HashMap;
+use php_runtime::hash::IntMap;
 
 /// One slot of an RTT circular buffer: a back pointer into the hash table,
 /// or invalidated.
@@ -38,9 +38,10 @@ struct RttEntry {
 }
 
 impl RttEntry {
-    fn new(capacity: usize) -> Self {
+    /// An entry over `slots`, which must be all [`Slot::Empty`].
+    fn new(slots: Vec<Slot>) -> Self {
         RttEntry {
-            slots: vec![Slot::Empty; capacity],
+            slots,
             write_ptr: 0,
             next_seq: 0,
             order_lost: false,
@@ -67,7 +68,10 @@ pub struct OrderReplay {
 /// The reverse translation table.
 #[derive(Debug)]
 pub struct Rtt {
-    entries: HashMap<u64, RttEntry>,
+    entries: IntMap<u64, RttEntry>,
+    /// Cleared circular buffers of dropped entries, reused by the next
+    /// tracked map so steady-state tracking allocates nothing on the host.
+    spare: Vec<Vec<Slot>>,
     /// Circular-buffer capacity per map.
     slots_per_entry: usize,
     /// Maximum number of maps tracked concurrently.
@@ -80,7 +84,8 @@ impl Rtt {
     pub fn new(capacity: usize, slots_per_entry: usize) -> Self {
         assert!(capacity > 0 && slots_per_entry > 0);
         Rtt {
-            entries: HashMap::new(),
+            entries: IntMap::default(),
+            spare: Vec::new(),
             slots_per_entry,
             capacity,
         }
@@ -112,21 +117,22 @@ impl Rtt {
         let mut displaced = None;
         if !self.entries.contains_key(&base) && self.entries.len() >= self.capacity {
             // Capacity eviction: drop the map with the oldest latest-seq
-            // (approximate LRU over maps).
+            // (approximate LRU over maps). Ties go to the lowest base, so
+            // the choice never depends on the map's iteration order.
             let victim = *self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.next_seq)
+                .min_by_key(|(b, e)| (e.next_seq, **b))
                 .map(|(b, _)| b)
                 .expect("nonempty");
-            self.entries.remove(&victim);
+            let dropped = self.entries.remove(&victim).expect("victim is tracked");
+            self.recycle(dropped);
             displaced = Some(victim);
         }
-        let slots = self.slots_per_entry;
-        let e = self
-            .entries
-            .entry(base)
-            .or_insert_with(|| RttEntry::new(slots));
+        let (spare, slots) = (&mut self.spare, self.slots_per_entry);
+        let e = self.entries.entry(base).or_insert_with(|| {
+            RttEntry::new(spare.pop().unwrap_or_else(|| vec![Slot::Empty; slots]))
+        });
         let seq = e.next_seq;
         e.next_seq += 1;
         let pos = e.write_ptr;
@@ -155,20 +161,32 @@ impl Rtt {
         }
     }
 
-    /// Handles a `Free` of map `base`: returns the hash-table entry indices
-    /// to invalidate and drops the RTT entry.
-    pub fn free_map(&mut self, base: u64) -> Vec<u32> {
-        match self.entries.remove(&base) {
-            None => Vec::new(),
-            Some(e) => e
-                .slots
-                .into_iter()
-                .filter_map(|s| match s {
-                    Slot::Live { idx, .. } => Some(idx),
-                    _ => None,
-                })
-                .collect(),
+    /// Handles a `Free` of map `base`: calls `on_live` with each hash-table
+    /// entry index to invalidate and drops the RTT entry.
+    pub fn free_map(&mut self, base: u64, mut on_live: impl FnMut(u32)) {
+        if let Some(e) = self.entries.remove(&base) {
+            for slot in &e.slots {
+                if let Slot::Live { idx, .. } = *slot {
+                    on_live(idx);
+                }
+            }
+            self.recycle(e);
         }
+    }
+
+    /// Stops tracking every map, leaving the table as [`Rtt::new`] built it
+    /// but keeping the buffers for reuse.
+    pub fn clear(&mut self) {
+        for (_, mut e) in self.entries.drain() {
+            e.slots.fill(Slot::Empty);
+            self.spare.push(e.slots);
+        }
+    }
+
+    /// Keeps a dropped entry's buffer, cleared, for the next tracked map.
+    fn recycle(&mut self, mut e: RttEntry) {
+        e.slots.fill(Slot::Empty);
+        self.spare.push(e.slots);
     }
 
     /// Replays insertion order for a `foreach` of map `base`.
@@ -243,11 +261,33 @@ mod tests {
         let _ = rtt.record_insert(0x20, 4);
         let _ = rtt.record_insert(0x20, 6);
         rtt.invalidate_backpointer(0x20, 4);
-        let mut idxs = rtt.free_map(0x20);
-        idxs.sort_unstable();
+        let mut idxs = Vec::new();
+        rtt.free_map(0x20, |i| idxs.push(i));
         assert_eq!(idxs, vec![6]);
         assert!(!rtt.tracks(0x20));
-        assert!(rtt.free_map(0x20).is_empty());
+        rtt.free_map(0x20, |i| panic!("untracked map yielded entry {i}"));
+        // The freed buffer is reused cleared: a new map starts empty.
+        let _ = rtt.record_insert(0x28, 1);
+        assert_eq!(rtt.replay_order(0x28).live_in_order, vec![1]);
+        assert_eq!(rtt.replay_order(0x28).evicted, 0);
+    }
+
+    #[test]
+    fn clear_forgets_every_map_and_reuses_clean_buffers() {
+        let mut rtt = Rtt::new(8, 4);
+        for i in 0..5 {
+            let _ = rtt.record_insert(0x30, i);
+        }
+        let _ = rtt.record_insert(0x38, 7);
+        assert!(rtt.replay_order(0x30).order_lost);
+        rtt.clear();
+        assert_eq!(rtt.tracked_maps(), 0);
+        // Buffers come back cleared: no stale back pointers, no lost order.
+        let _ = rtt.record_insert(0x40, 2);
+        let r = rtt.replay_order(0x40);
+        assert_eq!(r.live_in_order, vec![2]);
+        assert_eq!(r.live_seqs, vec![0]);
+        assert!(!r.order_lost);
     }
 
     #[test]

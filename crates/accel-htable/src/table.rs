@@ -10,7 +10,7 @@
 use crate::entry::{Entry, SmallKey, MAX_KEY_BYTES};
 use crate::rtt::{OrderReplay, Rtt};
 use crate::stats::{HtStats, HASH_CYCLES, PROBE_CYCLES};
-use std::collections::HashSet;
+use php_runtime::hash::IntSet;
 
 /// Configuration of the hardware hash table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +99,8 @@ pub enum SetOutcome {
 /// Result of a `foreach` request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForeachOutcome {
-    /// `(key bytes, value_ptr)` pairs held in hardware, in insertion order.
-    pub live_pairs: Vec<(Vec<u8>, u64)>,
+    /// `(key, value_ptr)` pairs held in hardware, in insertion order.
+    pub live_pairs: Vec<(SmallKey, u64)>,
     /// Pairs whose entries were evicted — present in memory, order known.
     pub evicted_pairs: usize,
     /// Dirty pairs written back to memory so software iteration sees them.
@@ -119,9 +119,9 @@ pub struct HwHashTable {
     stats: HtStats,
     /// Entries whose parity no longer checks out (injected faults). The
     /// corruption is caught on the next access; a full overwrite repairs it.
-    corrupt_entries: HashSet<usize>,
+    corrupt_entries: IntSet<usize>,
     /// Maps whose RTT back-pointer buffer is untrusted (injected faults).
-    corrupt_rtt: HashSet<u64>,
+    corrupt_rtt: IntSet<u64>,
 }
 
 impl Default for HwHashTable {
@@ -149,8 +149,8 @@ impl HwHashTable {
             rtt: Rtt::new(cfg.rtt_maps, cfg.rtt_slots),
             clock: 0,
             stats: HtStats::default(),
-            corrupt_entries: HashSet::new(),
-            corrupt_rtt: HashSet::new(),
+            corrupt_entries: IntSet::default(),
+            corrupt_rtt: IntSet::default(),
         }
     }
 
@@ -370,18 +370,18 @@ impl HwHashTable {
             // Back pointers are untrusted: fall back to a full-table scan
             // to invalidate the dying map's entries.
             self.stats.faults_detected += 1;
-            let _ = self.rtt.free_map(base);
+            self.rtt.free_map(base, |_| {});
             let n = self.scan_invalidate(base);
             self.stats.freed_entries += n as u64;
             return n;
         }
-        let idxs = self.rtt.free_map(base);
-        let n = idxs.len();
-        for idx in idxs {
+        let mut n = 0;
+        self.rtt.free_map(base, |idx| {
             self.corrupt_entries.remove(&(idx as usize));
             self.entries[idx as usize].valid = false;
             self.entries[idx as usize].dirty = false;
-        }
+            n += 1;
+        });
         self.stats.freed_entries += n as u64;
         n
     }
@@ -394,7 +394,7 @@ impl HwHashTable {
             // The circular buffer is untrusted: invalidate the map's entries
             // by scan and tell software to iterate the memory map instead.
             self.stats.faults_detected += 1;
-            let _ = self.rtt.free_map(base);
+            self.rtt.free_map(base, |_| {});
             self.scan_invalidate(base);
             return ForeachOutcome {
                 live_pairs: Vec::new(),
@@ -427,7 +427,7 @@ impl HwHashTable {
                 e.dirty = false;
                 written_back += 1;
             }
-            live_pairs.push((e.key.as_bytes().to_vec(), e.value_ptr));
+            live_pairs.push((e.key, e.value_ptr));
         }
         self.stats.writebacks += written_back as u64;
         self.stats.accel_cycles += HASH_CYCLES + live_pairs.len() as u64;
@@ -467,9 +467,8 @@ impl HwHashTable {
     }
 
     fn flush_map_entries(&mut self, base: u64) -> Vec<Entry> {
-        let idxs = self.rtt.free_map(base);
         let mut dirty = Vec::new();
-        for idx in idxs {
+        self.rtt.free_map(base, |idx| {
             self.corrupt_entries.remove(&(idx as usize));
             let e = &mut self.entries[idx as usize];
             if e.dirty {
@@ -478,7 +477,7 @@ impl HwHashTable {
             }
             e.valid = false;
             e.dirty = false;
-        }
+        });
         dirty
     }
 
@@ -543,7 +542,7 @@ impl HwHashTable {
             e.valid = false;
             e.dirty = false;
         }
-        self.rtt = Rtt::new(self.cfg.rtt_maps, self.cfg.rtt_slots);
+        self.rtt.clear();
         self.corrupt_entries.clear();
         self.corrupt_rtt.clear();
         n
@@ -641,7 +640,7 @@ mod tests {
         t.set(0x400, b"second", 2);
         t.set(0x400, b"third", 3);
         let out = t.foreach(0x400);
-        let keys: Vec<&[u8]> = out.live_pairs.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = out.live_pairs.iter().map(|(k, _)| k.as_bytes()).collect();
         assert_eq!(keys, [b"first".as_slice(), b"second", b"third"]);
         assert_eq!(out.written_back, 3);
         assert!(!out.order_lost);

@@ -21,6 +21,7 @@ use php_runtime::string::PhpStr;
 use php_runtime::value::PhpValue;
 use php_runtime::{AccessStatic, RuntimeContext};
 use regex_engine::Regex;
+use std::borrow::Cow;
 
 /// Execution mode of the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,18 +214,43 @@ pub struct MBlock {
     sw_block: Option<php_runtime::alloc::Block>,
 }
 
-/// Encodes an [`ArrayKey`] as hardware key bytes (int keys get a 0xFF-tag
-/// prefix so they cannot collide with string keys).
-pub fn key_bytes(key: &ArrayKey) -> Vec<u8> {
-    match key {
-        ArrayKey::Int(i) => {
-            let mut v = Vec::with_capacity(9);
-            v.push(0xFF);
-            v.extend_from_slice(&i.to_le_bytes());
-            v
+/// The hardware key bytes of an [`ArrayKey`], built without allocating:
+/// a string key lends its own bytes, an int key is a 0xFF tag plus its
+/// little-endian bytes (so it cannot collide with a string key) in a stack
+/// buffer.
+#[derive(Debug, Clone, Copy)]
+pub enum HwKey<'a> {
+    /// A string key's bytes.
+    Str(&'a [u8]),
+    /// A tagged int key.
+    Int([u8; 9]),
+}
+
+impl<'a> HwKey<'a> {
+    /// Encodes `key`.
+    pub fn of(key: &'a ArrayKey) -> Self {
+        match key {
+            ArrayKey::Int(i) => {
+                let mut b = [0xFF; 9];
+                b[1..].copy_from_slice(&i.to_le_bytes());
+                HwKey::Int(b)
+            }
+            ArrayKey::Str(s) => HwKey::Str(s.as_bytes()),
         }
-        ArrayKey::Str(s) => s.as_bytes().to_vec(),
     }
+
+    /// The encoded bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            HwKey::Str(b) => b,
+            HwKey::Int(b) => b,
+        }
+    }
+}
+
+/// Encodes an [`ArrayKey`] as owned hardware key bytes (see [`HwKey`]).
+pub fn key_bytes(key: &ArrayKey) -> Vec<u8> {
+    HwKey::of(key).as_bytes().to_vec()
 }
 
 fn value_token(base: u64, key: &[u8]) -> u64 {
@@ -599,8 +625,9 @@ impl PhpMachine {
         hint: KeyShapeHint,
     ) -> Option<PhpValue> {
         if self.use_accel(AccelId::Htable) {
-            let kb = key_bytes(key);
-            match self.core.htable.get_hinted(arr.base_addr(), &kb, hint) {
+            let kb = HwKey::of(key);
+            let kb = kb.as_bytes();
+            match self.core.htable.get_hinted(arr.base_addr(), kb, hint) {
                 GetOutcome::Hit { .. } => {
                     self.dispatch("hashtableget", Category::HashMap);
                     let out = arr.get(key).cloned();
@@ -616,8 +643,8 @@ impl PhpMachine {
                     if out.is_some() {
                         let ev = self.core.htable.fill(
                             arr.base_addr(),
-                            &kb,
-                            value_token(arr.base_addr(), &kb),
+                            kb,
+                            value_token(arr.base_addr(), kb),
                         );
                         self.charge_eviction(ev);
                     }
@@ -650,38 +677,74 @@ impl PhpMachine {
         facts: AccessStatic,
         hint: KeyShapeHint,
     ) {
-        if self.use_accel(AccelId::Htable) {
-            let kb = key_bytes(&key);
-            let base = arr.base_addr();
-            self.ctx.refcount_on_copy_elidable(&value, facts.elide_rc);
-            // Ground truth stays in the software map (write-back happens
-            // lazily in hardware; the model keeps contents exact).
-            let old = arr.insert(key, value);
-            if let Some(old) = old {
-                self.ctx.refcount_on_drop_elidable(&old, facts.elide_rc);
-            }
-            match self
-                .core
-                .htable
-                .set_hinted(base, &kb, value_token(base, &kb), hint)
-            {
-                SetOutcome::Updated => self.dispatch("hashtableset", Category::HashMap),
-                SetOutcome::Inserted { eviction } => {
-                    self.dispatch("hashtableset", Category::HashMap);
-                    self.charge_eviction(eviction);
-                }
-                SetOutcome::Unsupported => {
-                    // Long key: the software walk cost applies after all.
-                    self.ctx.profiler().record(
-                        "zend_hash_update",
-                        Category::HashMap,
-                        OpCost::mixed(90),
-                    );
-                }
+        self.array_set_cow(arr, Cow::Owned(key), value, facts, hint);
+    }
+
+    /// [`PhpMachine::array_set_static`] for a borrowed key, cloned only when
+    /// the SET inserts it: overwriting an existing variable or element never
+    /// allocates.
+    pub fn array_set_static_ref(
+        &mut self,
+        arr: &mut PhpArray,
+        key: &ArrayKey,
+        value: PhpValue,
+        facts: AccessStatic,
+        hint: KeyShapeHint,
+    ) {
+        self.array_set_cow(arr, Cow::Borrowed(key), value, facts, hint);
+    }
+
+    fn array_set_cow(
+        &mut self,
+        arr: &mut PhpArray,
+        key: Cow<'_, ArrayKey>,
+        value: PhpValue,
+        facts: AccessStatic,
+        hint: KeyShapeHint,
+    ) {
+        if !self.use_accel(AccelId::Htable) {
+            match key {
+                Cow::Owned(k) => self.ctx.array_set_static(arr, k, value, facts),
+                Cow::Borrowed(k) => self.ctx.array_set_static_ref(arr, k, value, facts),
             }
             return;
         }
-        self.ctx.array_set_static(arr, key, value, facts);
+        let base = arr.base_addr();
+        // The hardware SET is modeled before the software insert so the
+        // insert can take the key. The model never touches the profiler,
+        // so the metered sequence is the same as probing after the insert.
+        let outcome = {
+            let kb = HwKey::of(&key);
+            let kb = kb.as_bytes();
+            self.core
+                .htable
+                .set_hinted(base, kb, value_token(base, kb), hint)
+        };
+        self.ctx.refcount_on_copy_elidable(&value, facts.elide_rc);
+        // Ground truth stays in the software map (write-back happens
+        // lazily in hardware; the model keeps contents exact).
+        let old = match key {
+            Cow::Owned(k) => arr.insert(k, value),
+            Cow::Borrowed(k) => arr.insert_ref_with_cost(k, value).0,
+        };
+        if let Some(old) = old {
+            self.ctx.refcount_on_drop_elidable(&old, facts.elide_rc);
+        }
+        match outcome {
+            SetOutcome::Updated => self.dispatch("hashtableset", Category::HashMap),
+            SetOutcome::Inserted { eviction } => {
+                self.dispatch("hashtableset", Category::HashMap);
+                self.charge_eviction(eviction);
+            }
+            SetOutcome::Unsupported => {
+                // Long key: the software walk cost applies after all.
+                self.ctx.profiler().record(
+                    "zend_hash_update",
+                    Category::HashMap,
+                    OpCost::mixed(90),
+                );
+            }
+        }
     }
 
     /// Appends with the next integer key (PHP `$a[] = v`), going through
@@ -703,7 +766,8 @@ impl PhpMachine {
         self.ctx.refcount_on_copy_elidable(&value, facts.elide_rc);
         let key = arr.push(value);
         if self.use_accel(AccelId::Htable) {
-            let kb = key_bytes(&key);
+            let kb = HwKey::of(&key);
+            let kb = kb.as_bytes();
             let base = arr.base_addr();
             let hint = if hinted_append {
                 KeyShapeHint::IntAppend
@@ -713,7 +777,7 @@ impl PhpMachine {
             match self
                 .core
                 .htable
-                .set_hinted(base, &kb, value_token(base, &kb), hint)
+                .set_hinted(base, kb, value_token(base, kb), hint)
             {
                 SetOutcome::Inserted { eviction } => {
                     self.dispatch("hashtableset", Category::HashMap);
@@ -745,8 +809,10 @@ impl PhpMachine {
     /// coherence).
     pub fn array_remove(&mut self, arr: &mut PhpArray, key: &ArrayKey) -> Option<PhpValue> {
         if self.use_accel(AccelId::Htable) {
-            let kb = key_bytes(key);
-            self.core.htable.invalidate_key(arr.base_addr(), &kb);
+            let kb = HwKey::of(key);
+            self.core
+                .htable
+                .invalidate_key(arr.base_addr(), kb.as_bytes());
         }
         self.ctx.array_remove(arr, key)
     }

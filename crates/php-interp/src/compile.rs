@@ -24,6 +24,7 @@ use crate::ast::{BinOp, Expr, FuncDef, LValue, Program, Stmt};
 use crate::builtins;
 use crate::eval::hint_of;
 use crate::facts::{AnalysisFacts, KeyShape};
+use php_runtime::array::ArrayKey;
 use php_runtime::string::PhpStr;
 use phpaccel_core::KeyShapeHint;
 use regex_engine::Regex;
@@ -554,6 +555,9 @@ pub struct CompiledUnit {
     pub func_index: HashMap<String, u32>,
     /// Variable / function / builtin name pool.
     pub names: Vec<String>,
+    /// `names[i]` as a symbol-table key, built once at compile time so
+    /// variable loads and stores never build one.
+    pub name_keys: Vec<ArrayKey>,
     /// String-literal pool.
     pub consts: Vec<PhpStr>,
     /// Analysis-time-compiled regex pool.
@@ -748,6 +752,7 @@ impl<'f> Compiler<'f> {
         }
         let i = self.unit.names.len() as u32;
         self.unit.names.push(s.to_string());
+        self.unit.name_keys.push(ArrayKey::from(s));
         self.name_map.insert(s.to_string(), i);
         i
     }

@@ -91,11 +91,67 @@ struct Scope {
     globals: HashSet<String>,
 }
 
+/// Log₂ of the entries in [`NameKeys`]' address-keyed table.
+const NAME_SLOT_BITS: u32 = 7;
+const NAME_SLOTS: usize = 1 << NAME_SLOT_BITS;
+
+/// Variable-name keys, built once per distinct name and interpreter: a read
+/// or write of an existing variable then builds no key and hashes nothing.
+/// Names are found by the address of the name string (AST names never
+/// move), through a direct-mapped table whose every hit is confirmed by
+/// comparing bytes; a table miss scans the few distinct names seen so far.
+struct NameKeys {
+    /// Name address → index into `keys`; `addr == 0` marks an empty entry.
+    fast: [(usize, u32); NAME_SLOTS],
+    keys: Vec<ArrayKey>,
+}
+
+impl Default for NameKeys {
+    fn default() -> Self {
+        NameKeys {
+            fast: [(0, 0); NAME_SLOTS],
+            keys: Vec::new(),
+        }
+    }
+}
+
+fn key_str(key: &ArrayKey) -> &[u8] {
+    match key {
+        ArrayKey::Str(s) => s.as_bytes(),
+        ArrayKey::Int(_) => unreachable!("variable names are strings"),
+    }
+}
+
+impl NameKeys {
+    /// The symbol-table key of variable `name`.
+    fn key(&mut self, name: &str) -> &ArrayKey {
+        let addr = name.as_ptr() as usize;
+        // The product's high bits mix every address bit (aligned
+        // addresses have nothing in their low bits).
+        let slot =
+            ((addr as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - NAME_SLOT_BITS)) as usize;
+        let (a, i) = self.fast[slot];
+        if a == addr && key_str(&self.keys[i as usize]) == name.as_bytes() {
+            return &self.keys[i as usize];
+        }
+        let i = match self.keys.iter().position(|k| key_str(k) == name.as_bytes()) {
+            Some(i) => i,
+            None => {
+                self.keys.push(ArrayKey::from(name));
+                self.keys.len() - 1
+            }
+        };
+        self.fast[slot] = (addr, i as u32);
+        &self.keys[i]
+    }
+}
+
 /// The interpreter.
 pub struct Interp<'m> {
     machine: &'m mut PhpMachine,
     funcs: HashMap<String, Arc<FuncDef>>,
     scopes: Vec<Scope>,
+    name_keys: NameKeys,
     output: Vec<u8>,
     regex_cache: HashMap<String, Regex>,
     /// Runtime regex compiles performed (regex-cache misses).
@@ -281,6 +337,7 @@ impl<'m> Interp<'m> {
                 table,
                 globals: HashSet::new(),
             }],
+            name_keys: NameKeys::default(),
             output: Vec::new(),
             regex_cache: HashMap::new(),
             regex_compiles: 0,
@@ -558,13 +615,9 @@ impl<'m> Interp<'m> {
 
     fn get_var_static(&mut self, name: &str, st: AccessStatic, hint: KeyShapeHint) -> PhpValue {
         let idx = self.scope_index_for(name);
-        let table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
-        let v = self
-            .machine
-            .array_get_static(&table, &ArrayKey::from(name), st, hint)
-            .unwrap_or(PhpValue::Null);
-        self.scopes[idx].table = table;
-        v
+        self.machine
+            .array_get_static(&self.scopes[idx].table, self.name_keys.key(name), st, hint)
+            .unwrap_or(PhpValue::Null)
     }
 
     fn set_var(&mut self, name: &str, value: PhpValue) {
@@ -579,10 +632,13 @@ impl<'m> Interp<'m> {
         hint: KeyShapeHint,
     ) {
         let idx = self.scope_index_for(name);
-        let mut table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
-        self.machine
-            .array_set_static(&mut table, ArrayKey::from(name), value, st, hint);
-        self.scopes[idx].table = table;
+        self.machine.array_set_static_ref(
+            &mut self.scopes[idx].table,
+            self.name_keys.key(name),
+            value,
+            st,
+            hint,
+        );
         // A global write drops memo entries fingerprinted on this name.
         // (Soundness never depends on this — dep *values* are in the key —
         // but it keeps the shared tier free of dead generations.)

@@ -25,8 +25,7 @@
 
 use crate::ast::{Expr, Stmt};
 use regex_engine::Regex;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashSet;
 
 /// Identifier of an AST node, assigned in lowering order by `php-analysis`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -110,34 +109,9 @@ const CALL_SUMMARIZED: u8 = 1 << 4;
 /// eligible for arena/epoch allocation.
 const ARENA_SAFE: u8 = 1 << 5;
 
-/// A map keyed by a node address or a `NodeId`, hashed with [`IntHasher`].
-type IntMap<V> = HashMap<usize, V, BuildHasherDefault<IntHasher>>;
-
-/// Hasher for integer keys: one multiply, with the well-mixed high bits
-/// rotated down into the bucket index (node addresses are 8-aligned, so
-/// their low bits carry nothing).
-#[derive(Default)]
-struct IntHasher(u64);
-
-impl Hasher for IntHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
+/// A map keyed by a node address or a `NodeId`, hashed with
+/// [`php_runtime::hash::IntHasher`].
+type IntMap<V> = php_runtime::hash::IntMap<usize, V>;
 
 /// What the engines need to memoize one proven call site.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -37,8 +37,9 @@ pub const VM_OP_UOPS: u64 = 1;
 pub struct OpcodeTally {
     counts: [u64; OP_KIND_COUNT],
     /// Dynamic (prev, next) pairs for *statically adjacent* opcodes — the
-    /// population the superinstruction selection was measured from.
-    pairs: HashMap<(OpKind, OpKind), u64>,
+    /// population the superinstruction selection was measured from. A dense
+    /// `prev * OP_KIND_COUNT + next` table, allocated at the first pair.
+    pairs: Option<Box<[u64]>>,
     /// Total opcodes executed.
     pub total: u64,
     /// Fused superinstructions executed.
@@ -51,7 +52,7 @@ impl Default for OpcodeTally {
     fn default() -> Self {
         OpcodeTally {
             counts: [0; OP_KIND_COUNT],
-            pairs: HashMap::new(),
+            pairs: None,
             total: 0,
             fused: 0,
             transients_elided: 0,
@@ -78,8 +79,17 @@ impl OpcodeTally {
 
     /// Statically adjacent opcode pairs by execution count, descending.
     pub fn top_pairs(&self) -> Vec<((OpKind, OpKind), u64)> {
-        let mut v: Vec<((OpKind, OpKind), u64)> =
-            self.pairs.iter().map(|(k, n)| (*k, *n)).collect();
+        let mut v = Vec::new();
+        if let Some(pairs) = &self.pairs {
+            for prev in OpKind::all() {
+                for next in OpKind::all() {
+                    let n = pairs[prev as usize * OP_KIND_COUNT + next as usize];
+                    if n > 0 {
+                        v.push(((prev, next), n));
+                    }
+                }
+            }
+        }
         v.sort_by(|a, b| {
             b.1.cmp(&a.1)
                 .then(a.0 .0.name().cmp(b.0 .0.name()))
@@ -95,7 +105,10 @@ impl OpcodeTally {
             self.fused += 1;
         }
         if let Some(prev) = adjacent_prev {
-            *self.pairs.entry((prev, kind)).or_insert(0) += 1;
+            let pairs = self
+                .pairs
+                .get_or_insert_with(|| vec![0; OP_KIND_COUNT * OP_KIND_COUNT].into());
+            pairs[prev as usize * OP_KIND_COUNT + kind as usize] += 1;
         }
     }
 }
@@ -284,29 +297,33 @@ impl<'m> Vm<'m> {
         }
     }
 
-    fn get_var_static(&mut self, name: &str, st: AccessStatic, hint: KeyShapeHint) -> PhpValue {
-        let idx = self.scope_index_for(name);
-        let table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
-        let v = self
-            .machine
-            .array_get_static(&table, &ArrayKey::from(name), st, hint)
-            .unwrap_or(PhpValue::Null);
-        self.scopes[idx].table = table;
-        v
-    }
-
-    fn set_var_static(
+    /// Reads variable `name` through its prebuilt symbol-table `key`.
+    fn load_var(
         &mut self,
         name: &str,
+        key: &ArrayKey,
+        st: AccessStatic,
+        hint: KeyShapeHint,
+    ) -> PhpValue {
+        let idx = self.scope_index_for(name);
+        self.machine
+            .array_get_static(&self.scopes[idx].table, key, st, hint)
+            .unwrap_or(PhpValue::Null)
+    }
+
+    /// Writes variable `name` through its prebuilt symbol-table `key`; the
+    /// key is cloned only when the variable is new.
+    fn store_var(
+        &mut self,
+        name: &str,
+        key: &ArrayKey,
         value: PhpValue,
         st: AccessStatic,
         hint: KeyShapeHint,
     ) {
         let idx = self.scope_index_for(name);
-        let mut table = std::mem::replace(&mut self.scopes[idx].table, PhpArray::new());
         self.machine
-            .array_set_static(&mut table, ArrayKey::from(name), value, st, hint);
-        self.scopes[idx].table = table;
+            .array_set_static_ref(&mut self.scopes[idx].table, key, value, st, hint);
         if idx == 0 && self.memo.is_some() {
             self.memo_invalidate_global(name);
         }
@@ -324,12 +341,20 @@ impl<'m> Vm<'m> {
         }
     }
 
+    /// Binds variable `name` outside the name pool (parameters, request
+    /// variables, builtins): the key is built here and moved into the table.
     fn set_var(&mut self, name: &str, value: PhpValue) {
-        self.set_var_static(name, value, AccessStatic::default(), KeyShapeHint::Unknown);
-    }
-
-    fn get_var(&mut self, name: &str) -> PhpValue {
-        self.get_var_static(name, AccessStatic::default(), KeyShapeHint::Unknown)
+        let idx = self.scope_index_for(name);
+        self.machine.array_set_static(
+            &mut self.scopes[idx].table,
+            ArrayKey::from(name),
+            value,
+            AccessStatic::default(),
+            KeyShapeHint::Unknown,
+        );
+        if idx == 0 && self.memo.is_some() {
+            self.memo_invalidate_global(name);
+        }
     }
 
     fn pop(&mut self) -> PhpValue {
@@ -468,8 +493,8 @@ impl<'m> Vm<'m> {
                     } else {
                         KeyShapeHint::Unknown
                     };
-                    let name = unit.names[*name as usize].clone();
-                    let v = self.get_var_static(&name, st, hint);
+                    let i = *name as usize;
+                    let v = self.load_var(&unit.names[i], &unit.name_keys[i], st, hint);
                     self.stack.push(v);
                 }
                 Op::StoreVar {
@@ -487,8 +512,8 @@ impl<'m> Vm<'m> {
                     } else {
                         KeyShapeHint::Unknown
                     };
-                    let name = unit.names[*name as usize].clone();
-                    self.set_var_static(&name, v, st, hint);
+                    let i = *name as usize;
+                    self.store_var(&unit.names[i], &unit.name_keys[i], v, st, hint);
                 }
                 Op::IndexGet { elide_rc, hint } => {
                     let key = self.pop();
@@ -515,19 +540,21 @@ impl<'m> Vm<'m> {
                     self.stack.push(v);
                 }
                 Op::LoadIndexBase { name, arena } => {
-                    let name = unit.names[*name as usize].clone();
+                    let (name, key) =
+                        (&unit.names[*name as usize], &unit.name_keys[*name as usize]);
                     // Only store paths flow through LoadIndexBase: an indexed
                     // write to a global is about to happen.
-                    if self.memo.is_some() && self.scope_index_for(&name) == 0 {
-                        self.memo_invalidate_global(&name);
+                    if self.memo.is_some() && self.scope_index_for(name) == 0 {
+                        self.memo_invalidate_global(name);
                     }
-                    let base = self.get_var(&name);
+                    let st = AccessStatic::default();
+                    let base = self.load_var(name, key, st, KeyShapeHint::Unknown);
                     let v = match base {
                         PhpValue::Array(_) => base,
                         PhpValue::Null => {
                             let a = self.machine.new_array_static(*arena);
                             let v2 = PhpValue::array(a);
-                            self.set_var(&name, v2.clone());
+                            self.store_var(name, key, v2.clone(), st, KeyShapeHint::Unknown);
                             v2
                         }
                         other => {
@@ -706,11 +733,17 @@ impl<'m> Vm<'m> {
                                 ArrayKey::Int(i) => PhpValue::Int(*i),
                                 ArrayKey::Str(s) => PhpValue::str(s.clone()),
                             };
-                            let kn = unit.names[*kn as usize].clone();
-                            self.set_var_static(&kn, key_value, st, hint);
+                            let kn = *kn as usize;
+                            self.store_var(
+                                &unit.names[kn],
+                                &unit.name_keys[kn],
+                                key_value,
+                                st,
+                                hint,
+                            );
                         }
-                        let vn = unit.names[*value as usize].clone();
-                        self.set_var_static(&vn, v, st, hint);
+                        let vn = *value as usize;
+                        self.store_var(&unit.names[vn], &unit.name_keys[vn], v, st, hint);
                     }
                 }
                 Op::IterPop => {
@@ -818,8 +851,7 @@ impl<'m> Vm<'m> {
                 }
                 Op::CallBuiltin { name, argc, regex } => {
                     let args = self.pop_args(*argc);
-                    let name = unit.names[*name as usize].clone();
-                    let v = self.call_builtin(&name, args, *regex)?;
+                    let v = self.call_builtin(&unit.names[*name as usize], args, *regex)?;
                     self.stack.push(v);
                 }
                 Op::CallDynamic {
@@ -829,8 +861,8 @@ impl<'m> Vm<'m> {
                     summarized,
                 } => {
                     let args = self.pop_args(*argc);
-                    let name = unit.names[*name as usize].clone();
-                    let v = match self.funcs.get(&name).copied() {
+                    let name = &unit.names[*name as usize];
+                    let v = match self.funcs.get(name).copied() {
                         Some(func) => {
                             // Summaries only apply when the call resolves to
                             // a user function, as in the tree-walker.
@@ -839,7 +871,7 @@ impl<'m> Vm<'m> {
                             }
                             self.invoke(func, args)?
                         }
-                        None => self.call_builtin(&name, args, *regex)?,
+                        None => self.call_builtin(name, args, *regex)?,
                     };
                     self.stack.push(v);
                 }
@@ -880,8 +912,8 @@ impl<'m> Vm<'m> {
                     } else {
                         KeyShapeHint::Unknown
                     };
-                    let name = unit.names[*name as usize].clone();
-                    let v = self.get_var_static(&name, st, hint);
+                    let i = *name as usize;
+                    let v = self.load_var(&unit.names[i], &unit.name_keys[i], st, hint);
                     let arena = *arena;
                     self.echo_fast(v, arena);
                 }

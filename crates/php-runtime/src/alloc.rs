@@ -11,8 +11,8 @@
 //! paper's Figure 8 is built from: the allocation-size CDF and the per-slab
 //! live-memory timeline.
 
+use crate::hash::{IntMap, IntSet};
 use crate::profile::{Category, OpCost, Profiler};
-use std::collections::{HashMap, HashSet};
 
 /// Granularity of the small size classes, in bytes (§4.3: 8 slabs cover
 /// requests up to 128 B).
@@ -194,7 +194,7 @@ struct ArenaState {
     /// the arena path, mirroring the free-list path's `live_blocks` panic.
     /// Simulator integrity state only (like `live_blocks` itself): its
     /// maintenance charges no simulated µops.
-    freed: HashSet<u64>,
+    freed: IntSet<u64>,
     /// Live arena blocks (allocated minus logically freed) this epoch.
     block_count: u64,
     /// Live arena bytes per slab class this epoch. Fixed-size, so zeroing
@@ -210,7 +210,7 @@ impl ArenaState {
             cur_chunk: 0,
             chunk_end: 0,
             epoch: 1,
-            freed: HashSet::new(),
+            freed: IntSet::default(),
             block_count: 0,
             live_by_class: [0; CLASS_SIZES.len()],
         }
@@ -250,7 +250,7 @@ struct SizeClass {
 pub struct SlabAllocator {
     classes: Vec<SizeClass>,
     /// addr -> (class index, requested size); huge blocks use class=usize::MAX.
-    live_blocks: HashMap<u64, (usize, usize)>,
+    live_blocks: IntMap<u64, (usize, usize)>,
     next_addr: u64,
     stats: AllocStats,
     timeline: Vec<TimelineSample>,
@@ -301,7 +301,7 @@ impl SlabAllocator {
             .collect();
         SlabAllocator {
             classes,
-            live_blocks: HashMap::new(),
+            live_blocks: IntMap::default(),
             next_addr: 0x1000,
             stats: AllocStats {
                 allocs_by_class: vec![0; CLASS_SIZES.len() + 1],

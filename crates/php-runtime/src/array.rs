@@ -14,6 +14,7 @@
 use crate::profile::OpCost;
 use crate::string::PhpStr;
 use crate::value::PhpValue;
+use std::borrow::Cow;
 use std::fmt;
 
 /// An array key: PHP arrays accept integer and string keys.
@@ -278,7 +279,27 @@ impl PhpArray {
         key: ArrayKey,
         value: PhpValue,
     ) -> (Option<PhpValue>, WalkCost) {
-        if let ArrayKey::Int(i) = key {
+        self.insert_cow(Cow::Owned(key), value)
+    }
+
+    /// [`PhpArray::insert_with_cost`] for a borrowed key: the key is cloned
+    /// only when the SET inserts, so overwriting an existing element never
+    /// allocates.
+    pub fn insert_ref_with_cost(
+        &mut self,
+        key: &ArrayKey,
+        value: PhpValue,
+    ) -> (Option<PhpValue>, WalkCost) {
+        self.insert_cow(Cow::Borrowed(key), value)
+    }
+
+    /// Shared body of the owned- and borrowed-key SETs.
+    pub(crate) fn insert_cow(
+        &mut self,
+        key: Cow<'_, ArrayKey>,
+        value: PhpValue,
+    ) -> (Option<PhpValue>, WalkCost) {
+        if let ArrayKey::Int(i) = *key {
             self.next_int_key = self.next_int_key.max(i + 1);
         }
         let (slot, probes) = self.find(&key);
@@ -296,7 +317,7 @@ impl PhpArray {
                     loads: 1,
                     stores: 3,
                 });
-                self.append(key, value);
+                self.append(key.into_owned(), value);
                 (None, wc)
             }
         }

@@ -12,6 +12,7 @@ use crate::refcount::RefcountMeter;
 use crate::strfuncs::{StrLib, StrMode};
 use crate::string::PhpStr;
 use crate::value::PhpValue;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 
 /// Kind of hash-map request, used by accelerator integration and statistics
@@ -432,12 +433,38 @@ impl RuntimeContext {
         value: PhpValue,
         facts: AccessStatic,
     ) {
+        self.array_set_cow(arr, Cow::Owned(key), value, facts);
+    }
+
+    /// [`RuntimeContext::array_set_static`] for a borrowed key, cloned only
+    /// when the SET inserts it.
+    pub fn array_set_static_ref(
+        &self,
+        arr: &mut PhpArray,
+        key: &ArrayKey,
+        value: PhpValue,
+        facts: AccessStatic,
+    ) {
+        self.array_set_cow(arr, Cow::Borrowed(key), value, facts);
+    }
+
+    fn array_set_cow(
+        &self,
+        arr: &mut PhpArray,
+        key: Cow<'_, ArrayKey>,
+        value: PhpValue,
+        facts: AccessStatic,
+    ) {
         self.refcount_on_copy_elidable(&value, facts.elide_rc);
-        let logged_key = key.clone();
-        let (old, wc) = arr.insert_with_cost(key, value);
+        // The event log (off on the serving path) needs its own copy.
+        let logged_key = self
+            .record_hash_events
+            .get()
+            .then(|| key.clone().into_owned());
+        let (old, wc) = arr.insert_cow(key, value);
         self.profiler
             .record("zend_hash_update", Category::HashMap, wc.cost);
-        self.log_hash(HashOp::Set, arr.base_addr(), Some(&logged_key), Some(&wc));
+        self.log_hash(HashOp::Set, arr.base_addr(), logged_key.as_ref(), Some(&wc));
         if let Some(old) = old {
             self.refcount_on_drop_elidable(&old, facts.elide_rc);
         }

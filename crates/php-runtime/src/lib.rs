@@ -29,6 +29,7 @@
 pub mod alloc;
 pub mod array;
 pub mod context;
+pub mod hash;
 pub mod profile;
 pub mod refcount;
 pub mod strfuncs;

@@ -576,6 +576,8 @@ pub struct FrontSnapshot {
     pub health_requests: u64,
     /// `/metrics` requests served.
     pub metrics_requests: u64,
+    /// Access-log lines dropped from the front of the bounded log.
+    pub access_log_dropped: u64,
 }
 
 impl FrontSnapshot {
@@ -664,6 +666,7 @@ impl FrontState {
             shed_queue_full: load(&self.front.shed_queue_full),
             health_requests: load(&self.front.health_requests),
             metrics_requests: load(&self.front.metrics_requests),
+            access_log_dropped: self.access_log.dropped(),
         }
     }
 
@@ -749,7 +752,8 @@ pub struct HttpReport {
     pub memo: Option<MemoCacheStats>,
     /// Front-door counters.
     pub front: FrontSnapshot,
-    /// Access-log lines in completion order.
+    /// The access log's retained (most recent) lines in completion order;
+    /// `front.access_log_dropped` counts the older lines it dropped.
     pub access_log: Vec<String>,
 }
 

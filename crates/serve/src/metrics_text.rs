@@ -372,6 +372,12 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         "GET /metrics requests served.",
         f.metrics_requests,
     );
+    counter(
+        &mut out,
+        "phpaccel_http_access_log_dropped_total",
+        "Access-log lines dropped from the front of the bounded log.",
+        f.access_log_dropped,
+    );
     out
 }
 
@@ -445,6 +451,7 @@ mod tests {
                 connections: 3,
                 http_requests: 12,
                 parse_errors: 1,
+                access_log_dropped: 4,
                 ..FrontSnapshot::default()
             },
         }
@@ -480,6 +487,7 @@ mod tests {
         assert_eq!(get("phpaccel_worker_uops_total{worker=\"0\"}"), 123.0);
         assert_eq!(get("phpaccel_memo_entries"), 2.0);
         assert_eq!(get("phpaccel_http_parse_errors_total"), 1.0);
+        assert_eq!(get("phpaccel_http_access_log_dropped_total"), 4.0);
         // Histogram: cumulative buckets end at +Inf == count.
         assert_eq!(get("phpaccel_queue_depth_bucket{le=\"+Inf\"}"), 2.0);
         assert_eq!(get("phpaccel_queue_depth_count"), 2.0);

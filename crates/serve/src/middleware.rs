@@ -15,6 +15,8 @@
 //! threads call the chain concurrently.
 
 use crate::http::HttpResponse;
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -180,32 +182,73 @@ impl Middleware for RateLimit {
     }
 }
 
+/// Lines an [`AccessLog`] keeps by default.
+pub const ACCESS_LOG_CAPACITY: usize = 4096;
+
 /// Access log: records one `method target status bytes` line per request
 /// after the response is final (so short-circuited 429s are logged too).
-#[derive(Debug, Default)]
+///
+/// The log is a fixed-capacity ring: it keeps the most recent lines and
+/// counts the older ones it dropped, so a long-running server's memory does
+/// not grow with its request count. A full ring reuses the dropped line's
+/// buffer for the new one.
+#[derive(Debug)]
 pub struct AccessLog {
-    lines: Mutex<Vec<String>>,
+    ring: Mutex<LogRing>,
+}
+
+#[derive(Debug)]
+struct LogRing {
+    lines: VecDeque<String>,
+    capacity: usize,
+    dropped: u64,
+}
+
+impl Default for AccessLog {
+    fn default() -> Self {
+        AccessLog::with_capacity(ACCESS_LOG_CAPACITY)
+    }
 }
 
 impl AccessLog {
-    /// An empty log.
+    /// An empty log keeping [`ACCESS_LOG_CAPACITY`] lines.
     pub fn new() -> Self {
         AccessLog::default()
     }
 
-    /// All lines logged so far, in arrival-completion order.
+    /// An empty log keeping the most recent `capacity` lines.
+    pub fn with_capacity(capacity: usize) -> Self {
+        AccessLog {
+            ring: Mutex::new(LogRing {
+                lines: VecDeque::new(),
+                capacity,
+                dropped: 0,
+            }),
+        }
+    }
+
+    fn ring(&self) -> std::sync::MutexGuard<'_, LogRing> {
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The retained lines (the most recent ones), in completion order.
     pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        self.ring().lines.iter().cloned().collect()
     }
 
-    /// Number of lines logged so far.
+    /// Number of lines retained.
     pub fn len(&self) -> usize {
-        self.lines.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.ring().lines.len()
     }
 
-    /// Whether nothing has been logged.
+    /// Whether no line is retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Lines dropped from the front of the full ring so far.
+    pub fn dropped(&self) -> u64 {
+        self.ring().dropped
     }
 }
 
@@ -215,17 +258,28 @@ impl Middleware for AccessLog {
     }
 
     fn after(&self, req: &MiddlewareRequest<'_>, resp: &mut HttpResponse) {
-        let line = format!(
+        let mut ring = self.ring();
+        if ring.capacity == 0 {
+            ring.dropped += 1;
+            return;
+        }
+        let mut line = if ring.lines.len() == ring.capacity {
+            ring.dropped += 1;
+            let mut reused = ring.lines.pop_front().expect("full ring");
+            reused.clear();
+            reused
+        } else {
+            String::new()
+        };
+        let _ = write!(
+            line,
             "{} {} {} {}",
             req.method,
             req.target,
             resp.status,
             resp.body.len()
         );
-        self.lines
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(line);
+        ring.lines.push_back(line);
     }
 }
 
@@ -385,6 +439,21 @@ mod tests {
         let lines = log.lines();
         assert_eq!(lines[0], "GET /run/x 200 5");
         assert!(lines[1].starts_with("GET /run/x 429"));
+    }
+
+    #[test]
+    fn access_log_keeps_the_most_recent_lines_and_counts_the_rest() {
+        let log = Arc::new(AccessLog::with_capacity(8));
+        let chain = MiddlewareChain::new().with(Arc::clone(&log));
+        for i in 0..20 {
+            chain.handle(&req("GET", &format!("/run/{i}")), || {
+                HttpResponse::text(200, "ok")
+            });
+        }
+        let want: Vec<String> = (12..20).map(|i| format!("GET /run/{i} 200 2")).collect();
+        assert_eq!(log.lines(), want);
+        assert_eq!(log.len(), 8);
+        assert_eq!(log.dropped(), 12);
     }
 
     #[test]

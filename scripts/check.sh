@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== perfbench build + unit tests =="
+# perfbench is its own workspace built against these crates by path: an API
+# change that breaks the benchmark fails here, not in the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== interprocedural analysis =="
 # Lints are errors: every corpus lint must be covered by the allowlist.
 # (Covers the taint lints and the region pass's [cross-request-escape]
