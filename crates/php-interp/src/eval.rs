@@ -262,8 +262,9 @@ pub(crate) fn binop_eval(
             PhpValue::Int(l.to_int().wrapping_rem(d))
         }
         Concat => {
-            let mut s = l.to_php_string();
-            s.push_bytes(r.to_php_string().as_bytes());
+            let mut s = PhpStr::with_capacity(l.php_string_len_hint() + r.php_string_len_hint());
+            l.push_php_string(&mut s);
+            r.push_php_string(&mut s);
             // Concatenation allocates the result string.
             machine.transient_str_static(s, arena_safe)
         }

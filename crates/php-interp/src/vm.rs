@@ -638,14 +638,17 @@ impl<'m> Vm<'m> {
                     arena,
                 } => {
                     let at = self.stack.len() - *n as usize;
-                    let parts = self.stack.split_off(at);
-                    let mut s = php_runtime::string::PhpStr::default();
+                    let parts = &self.stack[at..];
+                    let mut s = php_runtime::string::PhpStr::with_capacity(
+                        parts.iter().map(PhpValue::php_string_len_hint).sum(),
+                    );
                     for (i, v) in parts.iter().enumerate() {
                         self.machine
                             .ctx()
                             .type_check_elidable(v, skip_mask & (1 << i) != 0);
-                        s.push_bytes(v.to_php_string().as_bytes());
+                        v.push_php_string(&mut s);
                     }
+                    self.stack.truncate(at);
                     // One transient for the whole chain: the n-2 intermediate
                     // allocations the nested lowering performs are elided.
                     self.tally.transients_elided += *n as u64 - 2;

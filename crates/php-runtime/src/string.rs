@@ -20,6 +20,13 @@ impl PhpStr {
         Self::default()
     }
 
+    /// Creates an empty string with room for `cap` bytes.
+    pub fn with_capacity(cap: usize) -> Self {
+        PhpStr {
+            bytes: Vec::with_capacity(cap),
+        }
+    }
+
     /// Creates a string from raw bytes.
     pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
         PhpStr {

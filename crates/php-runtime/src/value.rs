@@ -119,6 +119,30 @@ impl PhpValue {
         }
     }
 
+    /// Appends the PHP string coercion of this value to `out`, without the
+    /// intermediate copy [`PhpValue::to_php_string`] builds.
+    pub fn push_php_string(&self, out: &mut PhpStr) {
+        match self {
+            PhpValue::Str(s) => out.push_bytes(s.as_bytes()),
+            PhpValue::Int(i) => {
+                use std::io::Write as _;
+                let _ = write!(out.as_bytes_mut(), "{i}");
+            }
+            other => out.push_bytes(other.to_php_string().as_bytes()),
+        }
+    }
+
+    /// Bytes [`PhpValue::push_php_string`] is expected to append: exact for
+    /// strings, an upper bound for ints, a guess otherwise. Sizes
+    /// concatenation buffers so they are allocated once.
+    pub fn php_string_len_hint(&self) -> usize {
+        match self {
+            PhpValue::Str(s) => s.len(),
+            PhpValue::Int(_) | PhpValue::Float(_) => 20,
+            _ => 5,
+        }
+    }
+
     /// Loose equality (`==`), the comparisons our workloads exercise.
     pub fn loose_eq(&self, other: &PhpValue) -> bool {
         use PhpValue::*;
@@ -269,6 +293,31 @@ mod tests {
         assert_eq!(PhpValue::Bool(false).to_php_string().len(), 0);
         assert_eq!(PhpValue::from(2.0).to_php_string().to_string_lossy(), "2");
         assert_eq!(PhpValue::from(2.5).to_php_string().to_string_lossy(), "2.5");
+    }
+
+    #[test]
+    fn push_php_string_appends_the_string_coercion() {
+        let values = [
+            PhpValue::Null,
+            PhpValue::Bool(true),
+            PhpValue::Bool(false),
+            PhpValue::Int(i64::MIN),
+            PhpValue::Int(42),
+            PhpValue::Float(2.5),
+            PhpValue::Float(3.0),
+            PhpValue::from("héllo"),
+            PhpValue::array(PhpArray::new()),
+        ];
+        for v in &values {
+            let mut out = PhpStr::from("<");
+            v.push_php_string(&mut out);
+            let mut want = b"<".to_vec();
+            want.extend_from_slice(v.to_php_string().as_bytes());
+            assert_eq!(out.as_bytes(), want, "{v:?}");
+            if let PhpValue::Str(s) = v {
+                assert_eq!(v.php_string_len_hint(), s.len());
+            }
+        }
     }
 
     #[test]
