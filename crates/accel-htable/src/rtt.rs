@@ -176,7 +176,7 @@ impl Rtt {
 
     /// Stops tracking every map, leaving the table as [`Rtt::new`] built it
     /// but keeping the buffers for reuse.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for (_, mut e) in self.entries.drain() {
             e.slots.fill(Slot::Empty);
             self.spare.push(e.slots);

@@ -34,6 +34,4 @@ pub use account::{compare, cycles_of, Comparison, Ledger};
 pub use config::{MachineConfig, PriorsConfig};
 pub use isa::{AccelInstr, InstrResult};
 pub use priors::{PriorOpt, PriorsOutcome};
-pub use specialized::{
-    key_bytes, AccelId, Engine, ExecMode, HwKey, MBlock, PhpMachine, SpecializedCore,
-};
+pub use specialized::{key_bytes, AccelId, Engine, ExecMode, MBlock, PhpMachine, SpecializedCore};

@@ -219,7 +219,7 @@ pub struct MBlock {
 /// little-endian bytes (so it cannot collide with a string key) in a stack
 /// buffer.
 #[derive(Debug, Clone, Copy)]
-pub enum HwKey<'a> {
+pub(crate) enum HwKey<'a> {
     /// A string key's bytes.
     Str(&'a [u8]),
     /// A tagged int key.
@@ -228,7 +228,7 @@ pub enum HwKey<'a> {
 
 impl<'a> HwKey<'a> {
     /// Encodes `key`.
-    pub fn of(key: &'a ArrayKey) -> Self {
+    pub(crate) fn of(key: &'a ArrayKey) -> Self {
         match key {
             ArrayKey::Int(i) => {
                 let mut b = [0xFF; 9];
@@ -240,7 +240,7 @@ impl<'a> HwKey<'a> {
     }
 
     /// The encoded bytes.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match self {
             HwKey::Str(b) => b,
             HwKey::Int(b) => b,
@@ -248,7 +248,8 @@ impl<'a> HwKey<'a> {
     }
 }
 
-/// Encodes an [`ArrayKey`] as owned hardware key bytes (see [`HwKey`]).
+/// Encodes an [`ArrayKey`] as owned hardware key bytes: a string key's
+/// bytes, or a 0xFF tag plus an int key's little-endian bytes.
 pub fn key_bytes(key: &ArrayKey) -> Vec<u8> {
     HwKey::of(key).as_bytes().to_vec()
 }

@@ -1101,6 +1101,22 @@ pub fn strip_delimiters(p: &str) -> Option<&str> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn name_keys_follow_contents_not_addresses() {
+        let mut keys = NameKeys::default();
+        // One buffer, rewritten in place: same address, new name.
+        let mut name = String::with_capacity(8);
+        name.push_str("title");
+        assert_eq!(keys.key(&name), &ArrayKey::from("title"));
+        name.clear();
+        name.push_str("tags");
+        assert_eq!(keys.key(&name), &ArrayKey::from("tags"));
+        // The same name at another address resolves to the same key.
+        let other = String::from("title");
+        assert_eq!(keys.key(&other), &ArrayKey::from("title"));
+        assert_eq!(keys.keys.len(), 2, "one key per distinct name");
+    }
+
     fn run_src(src: &str) -> (String, PhpMachine) {
         let mut m = PhpMachine::specialized();
         let out = {

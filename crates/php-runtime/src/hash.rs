@@ -1,10 +1,10 @@
-//! Host-side hashers for the simulator's own bookkeeping maps.
+//! The host-side integer hasher for the simulator's own bookkeeping maps.
 //!
-//! These hash the *simulator's* lookup keys (simulated addresses, node
-//! addresses, table slots, short names), never anything the modeled
-//! hardware or the metered PHP hash map sees; swapping one for another
-//! changes host time only. `std`'s default SipHash defends against
-//! adversarial keys, which none of these maps ever holds.
+//! It hashes the *simulator's* lookup keys (simulated addresses, node
+//! addresses, table slots), never anything the modeled hardware or the
+//! metered PHP hash map sees, so it changes host time only. `std`'s
+//! default SipHash defends against adversarial keys, which none of these
+//! maps ever holds.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -42,30 +42,6 @@ pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 /// A set of integers hashed with [`IntHasher`].
 pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
-/// FNV-1a, for short string keys (leaf-function and variable names).
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A map keyed by a short string, hashed with [`FnvHasher`].
-pub type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,17 +58,5 @@ mod tests {
             })
             .collect();
         assert!(hashes.len() > 512, "{} distinct buckets", hashes.len());
-    }
-
-    #[test]
-    fn maps_behave_as_maps() {
-        let mut m: IntMap<u64, u32> = IntMap::default();
-        m.insert(8, 1);
-        m.insert(16, 2);
-        assert_eq!(m.get(&8), Some(&1));
-        assert_eq!(m.remove(&16), Some(2));
-        let mut f: FnvMap<String, u32> = FnvMap::default();
-        f.insert("name".to_string(), 3);
-        assert_eq!(f.get("name"), Some(&3));
     }
 }

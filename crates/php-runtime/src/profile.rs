@@ -9,10 +9,10 @@
 //! Costs are *simulated micro-ops*, not wall-clock time; the
 //! `uarch-sim` crate converts them to cycles through a core model.
 
-use crate::hash::FnvMap;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Activity category of a leaf function.
 ///
@@ -268,13 +268,34 @@ struct FastEntry {
     slot: u32,
 }
 
+/// FNV-1a, for the name index: short leaf names hash in a few cycles.
+struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        FnvHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for FnvHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[derive(Debug)]
 struct ProfilerInner {
     /// One `(name, stats)` slot per distinct leaf function, in first-seen
     /// order.
     slots: Vec<(String, FuncStats)>,
     /// Name → index into `slots`.
-    index: FnvMap<String, u32>,
+    index: HashMap<String, u32, BuildHasherDefault<FnvHasher>>,
     /// Name address → slot, direct-mapped; `addr == 0` marks an empty entry.
     fast: [FastEntry; FAST_SLOTS],
     total: OpCost,
@@ -286,7 +307,7 @@ impl Default for ProfilerInner {
     fn default() -> Self {
         ProfilerInner {
             slots: Vec::new(),
-            index: FnvMap::default(),
+            index: HashMap::default(),
             fast: [FastEntry::default(); FAST_SLOTS],
             total: OpCost::default(),
             enabled_depth: 0,

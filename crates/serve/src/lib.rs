@@ -69,7 +69,7 @@ pub use memo::{MemoCache, MemoCacheStats};
 pub use metrics_text::{parse_prometheus, render_prometheus, MetricsSnapshot};
 pub use middleware::{
     AccessLog, ErrorPages, IdentityEncoding, Middleware, MiddlewareChain, MiddlewareRequest,
-    RateLimit, ACCESS_LOG_CAPACITY,
+    RateLimit,
 };
 pub use outcome::{classify_panic, RequestOutcome};
 pub use overload::{

@@ -182,8 +182,8 @@ impl Middleware for RateLimit {
     }
 }
 
-/// Lines an [`AccessLog`] keeps by default.
-pub const ACCESS_LOG_CAPACITY: usize = 4096;
+/// Lines an [`AccessLog`] keeps.
+const ACCESS_LOG_CAPACITY: usize = 4096;
 
 /// Access log: records one `method target status bytes` line per request
 /// after the response is final (so short-circuited 429s are logged too).
@@ -217,7 +217,7 @@ impl AccessLog {
     }
 
     /// An empty log keeping the most recent `capacity` lines.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         AccessLog {
             ring: Mutex::new(LogRing {
                 lines: VecDeque::new(),
